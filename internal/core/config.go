@@ -46,7 +46,7 @@ const (
 	// sorted list, true = array), keeping old configs byte-for-byte
 	// compatible.
 	SetModeDefault SetMode = iota
-	// SetModeList selects the mound-style sorted singly-linked list
+	// SetModeList selects the mound-style sorted doubly-linked list
 	// (memory-safe via hazard pointers unless Config.Leaky).
 	SetModeList
 	// SetModeArray selects the unsorted fixed-capacity array set (the
@@ -104,7 +104,7 @@ type Config struct {
 
 	// ArraySet selects the unsorted fixed-capacity array set implementation
 	// (the "(array)" curves in the paper's figures). The default is the
-	// mound-style sorted singly-linked list. Legacy alias: it is honored
+	// mound-style sorted doubly-linked list. Legacy alias: it is honored
 	// only when SetMode is SetModeDefault; prefer SetMode in new code.
 	ArraySet bool
 

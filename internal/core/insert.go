@@ -207,8 +207,9 @@ func (q *Queue[V]) insertMaxLocked(ctx *opCtx[V], n *tnode[V], e element[V]) {
 }
 
 // addLocked inserts e into locked node n at whichever position its key
-// requires, maintaining the cached metadata. Used when distributing split
-// halves and demoted parent minima, where e may or may not exceed n's max.
+// requires, maintaining the cached metadata. Used for demoted parent
+// minima, helper pulls and root-fallback inserts, where e may or may not
+// exceed n's max.
 func (q *Queue[V]) addLocked(ctx *opCtx[V], n *tnode[V], e element[V]) {
 	cnt := n.count.Load()
 	if cnt == 0 || e.key >= n.max.Load() {
@@ -313,33 +314,19 @@ func (q *Queue[V]) maybeSplit(ctx *opCtx[V], level, slot int, n *tnode[V]) {
 			return
 		}
 	}
-	// The displaced lower half lands in the context's split scratch. The
-	// buffer is fully consumed by the distribution loop below before either
-	// recursive maybeSplit call reuses it, so one per-context buffer serves
-	// the whole recursion without allocating.
-	ctx.split = n.set.splitLower(&ctx.al, ctx.split[:0])
-	lower := ctx.split
-	n.count.Store(int64(n.set.length()))
-	n.min.Store(n.set.minKey())
-	// max unchanged: splitLower removes only the smaller half.
-
+	// The smaller half moves straight into the children. Every moved key
+	// is <= n's new minimum <= n.max, so the parent/child invariant holds
+	// wherever the balancing rule places it, and n.max is unchanged.
 	l := q.node(level+1, 2*slot)
 	r := q.node(level+1, 2*slot+1)
 	l.lock.Lock()
 	r.lock.Lock()
+	n.set.splitInto(l.set, r.set)
+	n.count.Store(int64(n.set.length()))
+	n.min.Store(n.set.minKey())
 	n.lock.Unlock()
-
-	// Distribute the displaced elements across the children, balancing
-	// their sizes. Every displaced key is <= n's new minimum <= n.max, so
-	// the parent/child invariant holds regardless of placement.
-	for i, el := range lower {
-		c := l
-		if r.count.Load() < l.count.Load() {
-			c = r
-		}
-		q.addLocked(ctx, c, el)
-		lower[i] = element[V]{} // drop the scratch copy's payload reference
-	}
+	l.refresh()
+	r.refresh()
 	q.maybeSplit(ctx, level+1, 2*slot, l)   // unlocks l
 	q.maybeSplit(ctx, level+1, 2*slot+1, r) // unlocks r
 }

@@ -8,7 +8,7 @@ type element[V any] struct {
 }
 
 // nodeSet is the per-TNode element container. Two implementations exist,
-// matching the paper's evaluation: a sorted singly-linked list (the mound's
+// matching the paper's evaluation: a sorted doubly-linked list (the mound's
 // representation, the default) and an unsorted fixed-capacity array (the
 // "(array)" curves). All methods are called with the owning TNode's lock
 // held; sets need no internal synchronization.
@@ -16,10 +16,10 @@ type element[V any] struct {
 // Callers maintain the TNode's cached max/min/count; set methods report
 // enough (maxKey/minKey/length) to recompute them after a mutation.
 //
-// Methods that move elements out of the set (takeTop, splitLower,
-// ascending) append to a caller-supplied buffer instead of allocating:
-// the hot paths thread per-operation scratch slices (opCtx) through them,
-// so steady-state operations touch no new heap memory.
+// Methods that move elements out of the set (takeTop, ascending) append
+// to a caller-supplied buffer instead of allocating: the hot paths thread
+// per-operation scratch slices (opCtx) through them, so steady-state
+// operations touch no new heap memory.
 type nodeSet[V any] interface {
 	// insertMax adds e, whose key must be >= maxKey() (or the set empty).
 	insertMax(a *alloc[V], e element[V])
@@ -28,15 +28,15 @@ type nodeSet[V any] interface {
 	// removeMax removes and returns the largest element. The set must be
 	// nonempty.
 	removeMax(a *alloc[V]) element[V]
-	// removeMin removes and returns the smallest element. The set must be
-	// nonempty.
-	removeMin(a *alloc[V]) element[V]
 	// takeTop removes the n largest elements (n <= length()) and appends
 	// them to dst in ascending key order.
 	takeTop(a *alloc[V], n int, dst []element[V]) []element[V]
-	// splitLower removes the floor(length/2) smallest elements and appends
-	// them to dst (in any order).
-	splitLower(a *alloc[V], dst []element[V]) []element[V]
+	// splitInto moves the floor(length/2) smallest elements into l and r,
+	// which must be sets of the same implementation (the §3.4 split). The
+	// moved elements are dealt one at a time — the list largest-first, the
+	// array smallest-first — each to r when r is shorter than l and to l
+	// otherwise, so the children's sizes balance.
+	splitInto(l, r nodeSet[V])
 	// swapMin removes the minimum and inserts e in a single pass,
 	// returning the removed minimum and the new minimum key. Requirements:
 	// length >= 2, minKey() < e.key <= maxKey(). This is the §3.2
@@ -59,13 +59,14 @@ type nodeSet[V any] interface {
 // mode they are recycled through the sharded node cache (the GC backs any
 // stale diagnostic reader).
 type lnode[V any] struct {
-	e    element[V]
-	next *lnode[V]
+	e          element[V]
+	next, prev *lnode[V]
 }
 
-// listSet is a singly-linked list sorted descending by key: the head is the
+// listSet is a doubly-linked list sorted descending by key: the head is the
 // maximum, as in the original mound. tail caches the last node so minKey —
-// read on every §3.2 parent-min swap — is O(1) instead of a full traversal.
+// read on every §3.2 parent-min swap — is O(1), and the prev links let the
+// swap and the split detach from the tail without walking to it.
 type listSet[V any] struct {
 	head *lnode[V]
 	tail *lnode[V]
@@ -76,15 +77,44 @@ func (s *listSet[V]) length() int    { return s.size }
 func (s *listSet[V]) maxKey() uint64 { return s.head.e.key }
 func (s *listSet[V]) minKey() uint64 { return s.tail.e.key }
 
+// linkAfter splices n in after p (at the head when p is nil).
+func (s *listSet[V]) linkAfter(p, n *lnode[V]) {
+	n.prev = p
+	if p == nil {
+		n.next = s.head
+		s.head = n
+	} else {
+		n.next = p.next
+		p.next = n
+	}
+	if n.next == nil {
+		s.tail = n
+	} else {
+		n.next.prev = n
+	}
+	s.size++
+}
+
 func (s *listSet[V]) insertMax(a *alloc[V], e element[V]) {
 	n := a.get()
 	n.e = e
-	n.next = s.head
-	s.head = n
-	if s.tail == nil {
-		s.tail = n
+	s.linkAfter(nil, n)
+}
+
+// insertFrom links n in at its sorted position, searching forward from p
+// (from the head when p is nil), ahead of any nodes with an equal key. It
+// returns n, so a run of descending keys is merged in one pass by passing
+// each call's result to the next.
+func (s *listSet[V]) insertFrom(p, n *lnode[V]) *lnode[V] {
+	cur := s.head
+	if p != nil {
+		cur = p.next
 	}
-	s.size++
+	for cur != nil && cur.e.key > n.e.key {
+		p, cur = cur, cur.next
+	}
+	s.linkAfter(p, n)
+	return n
 }
 
 func (s *listSet[V]) insertNonMax(a *alloc[V], e element[V]) {
@@ -93,18 +123,9 @@ func (s *listSet[V]) insertNonMax(a *alloc[V], e element[V]) {
 		s.insertMax(a, e)
 		return
 	}
-	prev := s.head
-	for prev.next != nil && prev.next.e.key > e.key {
-		prev = prev.next
-	}
 	n := a.get()
 	n.e = e
-	n.next = prev.next
-	prev.next = n
-	if n.next == nil {
-		s.tail = n
-	}
-	s.size++
+	s.insertFrom(s.head, n)
 }
 
 func (s *listSet[V]) removeMax(a *alloc[V]) element[V] {
@@ -112,24 +133,9 @@ func (s *listSet[V]) removeMax(a *alloc[V]) element[V] {
 	s.head = n.next
 	if s.head == nil {
 		s.tail = nil
+	} else {
+		s.head.prev = nil
 	}
-	s.size--
-	e := n.e
-	a.put(n)
-	return e
-}
-
-func (s *listSet[V]) removeMin(a *alloc[V]) element[V] {
-	if s.head.next == nil {
-		return s.removeMax(a)
-	}
-	prev := s.head
-	for prev.next.next != nil {
-		prev = prev.next
-	}
-	n := prev.next
-	prev.next = nil
-	s.tail = prev
 	s.size--
 	e := n.e
 	a.put(n)
@@ -149,64 +155,57 @@ func (s *listSet[V]) takeTop(a *alloc[V], n int, dst []element[V]) []element[V] 
 	return dst
 }
 
-func (s *listSet[V]) splitLower(a *alloc[V], dst []element[V]) []element[V] {
+func (s *listSet[V]) splitInto(l, r nodeSet[V]) {
 	take := s.size / 2
 	if take == 0 {
-		return dst
+		return
 	}
-	// Walk to the last kept node, detach the tail run.
-	keep := s.size - take
-	prev := s.head
-	for i := 1; i < keep; i++ {
-		prev = prev.next
+	// Detach the lower run by walking back from the tail; take < size,
+	// so at least the head stays.
+	run := s.tail
+	for i := 1; i < take; i++ {
+		run = run.prev
 	}
-	run := prev.next
-	prev.next = nil
-	s.tail = prev
-	s.size = keep
-	for run != nil {
-		next := run.next
-		dst = append(dst, run.e)
-		a.put(run)
-		run = next
+	s.tail = run.prev
+	s.tail.next = nil
+	s.size -= take
+	// Deal the run's nodes, largest first, by the balancing rule. Each
+	// child receives a descending run, so its insertion search resumes
+	// where the previous one ended: one pass per child. Nodes move; none
+	// is freed or allocated.
+	ls, rs := l.(*listSet[V]), r.(*listSet[V])
+	var lp, rp *lnode[V] // last node dealt to each child
+	for n := run; n != nil; {
+		next := n.next
+		if rs.size < ls.size {
+			rp = rs.insertFrom(rp, n)
+		} else {
+			lp = ls.insertFrom(lp, n)
+		}
+		n = next
 	}
-	return dst
 }
 
 func (s *listSet[V]) swapMin(a *alloc[V], e element[V]) (element[V], uint64) {
-	// One pass over the descending list: splice e in at its sorted
-	// position, then continue to the tail and detach it. The contract
-	// (minKey < e.key <= maxKey, length >= 2) guarantees the insertion
-	// point is after the head and strictly before the old tail.
+	// Splice e in at its sorted position, then detach the old tail through
+	// its prev link. The contract (minKey < e.key <= maxKey, length >= 2)
+	// guarantees the insertion point is after the head and strictly before
+	// the old tail, so the new tail is a node that was already there or e.
 	n := a.get()
 	n.e = e
-	prev := s.head
-	for prev.next != nil && prev.next.e.key > e.key {
-		prev = prev.next
-	}
-	n.next = prev.next
-	prev.next = n
-	// n.next is non-nil: the old tail's key (the minimum) is < e.key.
-	p2 := n
-	for p2.next.next != nil {
-		p2 = p2.next
-	}
-	old := p2.next
-	p2.next = nil
-	s.tail = p2
+	s.insertFrom(s.head, n)
+	old := s.tail
+	s.tail = old.prev
+	s.tail.next = nil
+	s.size--
 	demoted := old.e
 	a.put(old)
-	return demoted, p2.e.key
+	return demoted, s.tail.e.key
 }
 
 func (s *listSet[V]) ascending(dst []element[V]) []element[V] {
-	base := len(dst)
-	for n := s.head; n != nil; n = n.next {
+	for n := s.tail; n != nil; n = n.prev {
 		dst = append(dst, n.e)
-	}
-	// Reverse the appended (descending) run.
-	for i, j := base, len(dst)-1; i < j; i, j = i+1, j-1 {
-		dst[i], dst[j] = dst[j], dst[i]
 	}
 	return dst
 }
@@ -313,16 +312,6 @@ func (s *arraySet[V]) removeMax(a *alloc[V]) element[V] {
 	return s.removeAt(best)
 }
 
-func (s *arraySet[V]) removeMin(a *alloc[V]) element[V] {
-	best := 0
-	for i, e := range s.elems {
-		if e.key < s.elems[best].key {
-			best = i
-		}
-	}
-	return s.removeAt(best)
-}
-
 func (s *arraySet[V]) sortAscending() { sortElemsAsc(s.elems) }
 
 func (s *arraySet[V]) takeTop(a *alloc[V], n int, dst []element[V]) []element[V] {
@@ -336,19 +325,23 @@ func (s *arraySet[V]) takeTop(a *alloc[V], n int, dst []element[V]) []element[V]
 	return dst
 }
 
-func (s *arraySet[V]) splitLower(a *alloc[V], dst []element[V]) []element[V] {
+func (s *arraySet[V]) splitInto(l, r nodeSet[V]) {
 	take := len(s.elems) / 2
 	if take == 0 {
-		return dst
+		return
 	}
 	s.sortAscending()
-	dst = append(dst, s.elems[:take]...)
-	keep := copy(s.elems, s.elems[take:])
-	for i := keep; i < len(s.elems); i++ {
-		s.elems[i] = element[V]{}
+	ls, rs := l.(*arraySet[V]), r.(*arraySet[V])
+	for _, e := range s.elems[:take] {
+		if len(rs.elems) < len(ls.elems) {
+			rs.elems = append(rs.elems, e)
+		} else {
+			ls.elems = append(ls.elems, e)
+		}
 	}
+	keep := copy(s.elems, s.elems[take:])
+	clear(s.elems[keep:]) // release payloads for GC
 	s.elems = s.elems[:keep]
-	return dst
 }
 
 func (s *arraySet[V]) swapMin(a *alloc[V], e element[V]) (element[V], uint64) {

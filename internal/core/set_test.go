@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -71,37 +72,6 @@ func TestSetRemoveMaxSortedDrain(t *testing.T) {
 	})
 }
 
-func TestSetRemoveMin(t *testing.T) {
-	setVariants(t, func(t *testing.T, mk func() nodeSet[int]) {
-		a := newAlloc()
-		s := mk()
-		fillSet(s, a, []uint64{5, 9, 2, 7})
-		if got := s.removeMin(a); got.key != 2 {
-			t.Fatalf("removeMin = %d, want 2", got.key)
-		}
-		if s.minKey() != 5 {
-			t.Fatalf("minKey after removeMin = %d, want 5", s.minKey())
-		}
-		if s.length() != 3 {
-			t.Fatalf("length = %d, want 3", s.length())
-		}
-	})
-}
-
-func TestSetRemoveMinSingleton(t *testing.T) {
-	setVariants(t, func(t *testing.T, mk func() nodeSet[int]) {
-		a := newAlloc()
-		s := mk()
-		s.insertMax(a, element[int]{key: 42})
-		if got := s.removeMin(a); got.key != 42 {
-			t.Fatalf("removeMin singleton = %d", got.key)
-		}
-		if s.length() != 0 {
-			t.Fatal("set not empty")
-		}
-	})
-}
-
 func TestSetTakeTopAscending(t *testing.T) {
 	setVariants(t, func(t *testing.T, mk func() nodeSet[int]) {
 		a := newAlloc()
@@ -136,17 +106,20 @@ func TestSetTakeTopAll(t *testing.T) {
 }
 
 func TestSetSplitLower(t *testing.T) {
+	// splitInto moves the lower half into the children, balancing them.
 	setVariants(t, func(t *testing.T, mk func() nodeSet[int]) {
 		a := newAlloc()
-		s := mk()
+		s, l, r := mk(), mk(), mk()
 		fillSet(s, a, []uint64{10, 30, 20, 50, 40, 60, 70})
-		lower := s.splitLower(a, nil)
-		if len(lower) != 3 {
-			t.Fatalf("splitLower returned %d, want 3", len(lower))
+		s.splitInto(l, r)
+		if l.length() != 2 || r.length() != 1 {
+			t.Fatalf("children hold %d and %d, want 2 and 1", l.length(), r.length())
 		}
-		for _, e := range lower {
-			if e.key > 30 {
-				t.Fatalf("splitLower returned high key %d", e.key)
+		for _, c := range []nodeSet[int]{l, r} {
+			for _, e := range c.ascending(nil) {
+				if e.key > 30 {
+					t.Fatalf("splitInto moved high key %d", e.key)
+				}
 			}
 		}
 		if s.length() != 4 || s.minKey() != 40 || s.maxKey() != 70 {
@@ -158,12 +131,179 @@ func TestSetSplitLower(t *testing.T) {
 func TestSetSplitLowerSmall(t *testing.T) {
 	setVariants(t, func(t *testing.T, mk func() nodeSet[int]) {
 		a := newAlloc()
-		s := mk()
+		s, l, r := mk(), mk(), mk()
 		s.insertMax(a, element[int]{key: 1})
-		if got := s.splitLower(a, nil); len(got) != 0 {
-			t.Fatalf("splitLower of singleton = %v, want empty", got)
+		s.splitInto(l, r)
+		if s.length() != 1 || l.length() != 0 || r.length() != 0 {
+			t.Fatalf("split of singleton moved elements: kept %d, children %d+%d", s.length(), l.length(), r.length())
 		}
 	})
+}
+
+// TestSplitIntoMatchesOldRule checks the §3.4 split against the rule it
+// replaced: the lower half was removed into a buffer (list sets in
+// descending key order, array sets ascending) and each buffered element
+// was added to r when r held fewer elements than l, and to l otherwise.
+// The split must place the same key multisets, leave every set sorted and
+// well linked, carry exact cached count/max/min, and lose no payload.
+func TestSplitIntoMatchesOldRule(t *testing.T) {
+	for _, mode := range []SetMode{SetModeList, SetModeArray} {
+		t.Run(mode.String(), func(t *testing.T) {
+			rng := xrand.New(12)
+			for trial := 0; trial < 300; trial++ {
+				tl := 4 << rng.Intn(3)
+				q := New[int](Config{Batch: 0, TargetLen: tl, SetMode: mode})
+				ctx := q.getCtx()
+				q.expandTree(0)
+				root, l, r := q.root(), q.node(1, 0), q.node(1, 1)
+				// Parent keys in [50,80) overflow 2×TargetLen; child keys
+				// in [0,50] keep the mound invariant and share key 50 with
+				// the parent. Children start at most TargetLen full, so
+				// neither overflows and no recursive split runs.
+				want := map[int]uint64{}
+				fill := func(n *tnode[int], cnt int, lo, span uint64) []uint64 {
+					keys := make([]uint64, cnt)
+					n.lock.Lock()
+					for i := range keys {
+						keys[i] = lo + rng.Uint64n(span)
+						id := len(want)
+						want[id] = keys[i]
+						q.addLocked(ctx, n, element[int]{key: keys[i], val: id})
+					}
+					n.lock.Unlock()
+					return keys
+				}
+				pk := fill(root, 2*tl+1+rng.Intn(tl), 50, 30)
+				wantL := fill(l, rng.Intn(tl+1), 0, 51)
+				wantR := fill(r, rng.Intn(tl+1), 0, 51)
+
+				sorted := slices.Sorted(slices.Values(pk))
+				take := len(pk) / 2
+				lower := append([]uint64(nil), sorted[:take]...)
+				if mode == SetModeList {
+					for i, j := 0, len(lower)-1; i < j; i, j = i+1, j-1 {
+						lower[i], lower[j] = lower[j], lower[i]
+					}
+				}
+				for _, k := range lower {
+					if len(wantR) < len(wantL) {
+						wantR = append(wantR, k)
+					} else {
+						wantL = append(wantL, k)
+					}
+				}
+
+				root.lock.Lock()
+				q.maybeSplit(ctx, 0, 0, root) // unlocks root
+				q.putCtx(ctx)
+				if err := q.CheckInvariants(); err != nil {
+					t.Fatalf("trial %d: %v", trial, err)
+				}
+				got := map[int]uint64{}
+				for _, c := range []struct {
+					n    *tnode[int]
+					want []uint64
+				}{{root, sorted[take:]}, {l, wantL}, {r, wantR}} {
+					elems := c.n.set.ascending(nil)
+					if got, want := elemKeys(elems), slices.Sorted(slices.Values(c.want)); !slices.Equal(got, want) {
+						t.Fatalf("trial %d: node holds %v, old rule gives %v", trial, got, want)
+					}
+					for _, e := range elems {
+						got[e.val] = e.key
+					}
+				}
+				if len(got) != len(want) {
+					t.Fatalf("trial %d: %d payloads after split, want %d", trial, len(got), len(want))
+				}
+				for id, k := range want {
+					if got[id] != k {
+						t.Fatalf("trial %d: payload %d has key %d, want %d", trial, id, got[id], k)
+					}
+				}
+			}
+		})
+	}
+}
+
+func elemKeys(elems []element[int]) []uint64 {
+	out := make([]uint64, len(elems))
+	for i, e := range elems {
+		out[i] = e.key
+	}
+	return out
+}
+
+// TestSplitAllocatesOnlyTheInsertedNode pins the split's node traffic in
+// memory-safe list mode: an insert that overflows the root draws exactly
+// one list node, its own, because the displaced half moves to the
+// children node by node instead of being freed and reallocated.
+func TestSplitAllocatesOnlyTheInsertedNode(t *testing.T) {
+	const tl = 8
+	q := New[int](Config{Batch: 0, TargetLen: tl, SetMode: SetModeList, Metrics: NewMetrics()})
+	defer q.Close()
+	for k := uint64(1); k <= 2*tl; k++ {
+		q.Insert(k, 0) // each key is a new maximum, so it lands at the root
+	}
+	if st := q.Stats(); st.LeafLevel != 0 || st.Elements != 2*tl {
+		t.Fatalf("setup: leaf level %d with %d elements, want a full root alone", st.LeafLevel, st.Elements)
+	}
+	before := q.Snapshot()
+	q.Insert(2*tl+1, 0)
+	after := q.Snapshot()
+	if q.Stats().LeafLevel != 1 {
+		t.Fatal("the overflowing insert did not split the root")
+	}
+	gets := (after.NodeCacheHit + after.NodeCacheMiss) - (before.NodeCacheHit + before.NodeCacheMiss)
+	if gets != 1 {
+		t.Fatalf("splitting insert drew %d list nodes, want 1", gets)
+	}
+	if err := q.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkSplit times one §3.4 split through maybeSplit: a root one
+// element over 2×TargetLen moves its lower half into two children that
+// each hold TargetLen smaller keys, the steady-state shape. Fresh queues
+// and their operation contexts are built in chunks outside the timer.
+func BenchmarkSplit(b *testing.B) {
+	for _, mode := range []SetMode{SetModeList, SetModeArray} {
+		b.Run(mode.String(), func(b *testing.B) {
+			const tl, chunk = DefaultTargetLen, 64
+			rng := xrand.New(1)
+			qs := make([]*Queue[int], chunk)
+			ctxs := make([]*opCtx[int], chunk)
+			build := func(q *Queue[int], ctx *opCtx[int]) {
+				q.expandTree(0)
+				for i, n := range []*tnode[int]{q.root(), q.node(1, 0), q.node(1, 1)} {
+					cnt, lo := tl, uint64(0)
+					if i == 0 {
+						cnt, lo = 2*tl+1, 1<<20
+					}
+					n.lock.Lock()
+					for j := 0; j < cnt; j++ {
+						q.addLocked(ctx, n, element[int]{key: lo + rng.Uint64n(1<<20)})
+					}
+					n.lock.Unlock()
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for done := 0; done < b.N; done += chunk {
+				b.StopTimer()
+				for i := range qs {
+					qs[i] = New[int](Config{Batch: 0, TargetLen: tl, SetMode: mode})
+					ctxs[i] = qs[i].getCtx()
+					build(qs[i], ctxs[i])
+				}
+				b.StartTimer()
+				for i := 0; i < chunk && done+i < b.N; i++ {
+					qs[i].root().lock.Lock()
+					qs[i].maybeSplit(ctxs[i], 0, 0, qs[i].root())
+				}
+			}
+		})
+	}
 }
 
 func TestSetAscending(t *testing.T) {
@@ -205,7 +345,8 @@ func TestSetPayloadsPreserved(t *testing.T) {
 
 func TestSetQuickEquivalence(t *testing.T) {
 	// Both set implementations must behave identically to a sorted-slice
-	// model under random operation sequences.
+	// model under random operation sequences, and the list must stay
+	// well linked after every operation.
 	r := xrand.New(31)
 	for _, array := range []bool{false, true} {
 		name := "list"
@@ -234,12 +375,18 @@ func TestSetQuickEquivalence(t *testing.T) {
 							return false
 						}
 						model = model[1:]
-					case op < 220: // removeMin
-						got := s.removeMin(a)
-						if got.key != model[len(model)-1] {
+					case op < 220: // swapMin
+						lo, hi := model[len(model)-1], model[0]
+						if lo == hi {
+							continue // contract requires min < e.key <= max
+						}
+						k := lo + 1 + r.Uint64n(hi-lo)
+						demoted, newMin := s.swapMin(a, element[int]{key: k})
+						model[len(model)-1] = k
+						sort.Slice(model, func(i, j int) bool { return model[i] > model[j] })
+						if demoted.key != lo || newMin != model[len(model)-1] {
 							return false
 						}
-						model = model[:len(model)-1]
 					default: // takeTop of up to half
 						n := len(model) / 2
 						if n == 0 {
@@ -253,8 +400,11 @@ func TestSetQuickEquivalence(t *testing.T) {
 						}
 						model = model[n:]
 					}
-					// Cross-check extremes and size.
+					// Cross-check extremes, size and the list's links.
 					if s.length() != len(model) {
+						return false
+					}
+					if ls, ok := s.(*listSet[int]); ok && ls.checkLinks() != nil {
 						return false
 					}
 					if len(model) > 0 {

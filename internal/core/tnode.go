@@ -34,6 +34,18 @@ func (n *tnode[V]) emptyOrAtMost(key uint64) bool {
 	return n.count.Load() == 0 || n.max.Load() <= key
 }
 
+// refresh recomputes a locked node's cached metadata from its set. The
+// extremes are stored before count, so an optimistic reader that sees the
+// new count also sees them.
+func (n *tnode[V]) refresh() {
+	c := n.set.length()
+	if c > 0 {
+		n.max.Store(n.set.maxKey())
+		n.min.Store(n.set.minKey())
+	}
+	n.count.Store(int64(c))
+}
+
 // swapContents exchanges the sets and cached metadata of two locked nodes.
 // Callers must hold both locks.
 func swapContents[V any](a, b *tnode[V]) {
@@ -100,7 +112,7 @@ func (a *alloc[V]) get() *lnode[V] {
 
 func (a *alloc[V]) put(n *lnode[V]) {
 	n.e = element[V]{}
-	n.next = nil
+	n.next, n.prev = nil, nil
 	if a.h != nil {
 		a.h.Retire(n, a.ad.reclaim)
 		return
@@ -218,17 +230,15 @@ func (f *freelist[V]) pop() *lnode[V] {
 
 // opCtx carries per-operation state: a private RNG, the participant's
 // hazard-pointer handle, the set-node allocator, and reusable scratch
-// buffers — scratch for pool refills and batch root grabs, split for the
-// lower half moved by a set split. Contexts are pooled; one is held for
-// the duration of a single operation (or a whole batch call), so the
-// scratch slices reach a steady-state capacity and the hot paths stop
-// allocating.
+// buffers — scratch for pool refills and batch root grabs. Contexts are
+// pooled; one is held for the duration of a single operation (or a whole
+// batch call), so the scratch slices reach a steady-state capacity and the
+// hot paths stop allocating.
 type opCtx[V any] struct {
 	rng     xrand.Rand
 	h       *hazard.Handle
 	al      alloc[V]
 	scratch []element[V]
-	split   []element[V]
 	// wkeys is ExtractBatch's key scratch for batch WAL records;
 	// allocated only when the queue has a durability policy.
 	wkeys []uint64
@@ -245,11 +255,15 @@ type opCtx[V any] struct {
 	sctr uint32
 }
 
-// clearHazards empties the traversal hazard slots at the end of an
-// operation.
-func (c *opCtx[V]) clearHazards() {
+// parkHazards empties the traversal hazard slots at the end of an
+// operation and parks the hazard record. sync.Pool may drop a resting
+// context (at every GC, and at random under the race detector); a parked
+// record is then adopted by the next new context, so its retired lnodes
+// still reach the freelist.
+func (c *opCtx[V]) parkHazards() {
 	if c.h != nil {
 		c.h.Clear(0)
 		c.h.Clear(1)
+		c.h.Park()
 	}
 }

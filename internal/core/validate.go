@@ -11,7 +11,8 @@ import (
 // it takes no locks. Checked invariants:
 //
 //   - every node's cached count/max/min agree with its set's contents,
-//   - list sets are sorted descending,
+//   - list sets are sorted descending, their prev links mirror their next
+//     links, and their tail and size agree with a walk from the head,
 //   - a nonempty node's parent is nonempty with parent.max >= node.max
 //     (the mound invariant, §3.1),
 //   - the pool policy's structural invariants hold: for the batch pool,
@@ -37,6 +38,11 @@ func (q *Queue[V]) CheckInvariants() error {
 }
 
 func (q *Queue[V]) checkNode(level, slot int, n *tnode[V]) error {
+	if ls, ok := n.set.(*listSet[V]); ok {
+		if err := ls.checkLinks(); err != nil {
+			return fmt.Errorf("node (%d,%d): %v", level, slot, err)
+		}
+	}
 	cnt := int(n.count.Load())
 	if got := n.set.length(); got != cnt {
 		return fmt.Errorf("node (%d,%d): cached count %d != set length %d", level, slot, cnt, got)
@@ -73,6 +79,27 @@ func (q *Queue[V]) checkNode(level, slot int, n *tnode[V]) error {
 			return fmt.Errorf("mound invariant violated at (%d,%d): parent max %d < child max %d",
 				level, slot, p.max.Load(), n.max.Load())
 		}
+	}
+	return nil
+}
+
+// checkLinks verifies the list's structure: each node's prev link points
+// at the node whose next link reaches it, and tail and size match a walk
+// from the head. The walk stops past size, so a cycle cannot hang it.
+func (s *listSet[V]) checkLinks() error {
+	var prev *lnode[V]
+	walked := 0
+	for n := s.head; n != nil; n = n.next {
+		if n.prev != prev {
+			return fmt.Errorf("list prev link at position %d does not mirror next", walked)
+		}
+		if walked++; walked > s.size {
+			return fmt.Errorf("list walk exceeds size %d", s.size)
+		}
+		prev = n
+	}
+	if s.tail != prev || walked != s.size {
+		return fmt.Errorf("list tail or size %d disagrees with a walk of %d nodes", s.size, walked)
 	}
 	return nil
 }

@@ -119,14 +119,13 @@ func NewWithDomain[V any](cfg Config, ad *AllocDomain[V]) *Queue[V] {
 		c.rng.Seed(xrand.Mix64(cfg.Seed + id*0x9e3779b97f4a7c15))
 		if q.ad.dom != nil {
 			c.h = q.ad.dom.Get()
+			c.h.Park() // contexts rest parked; getCtx resumes the record
 		}
 		c.al = alloc[V]{ad: q.ad, h: c.h, met: q.met, shard: uint32(id)}
 		// Pool refills move up to Batch elements; a batch root grab moves up
-		// to Batch+1. A split moves at most TargetLen+1 (half of an
-		// overflowing set). Pre-sizing both means the scratch slices never
-		// grow on the hot paths.
+		// to Batch+1. Pre-sizing means the scratch slice never grows on the
+		// hot paths.
 		c.scratch = make([]element[V], 0, cfg.Batch+1)
-		c.split = make([]element[V], 0, cfg.TargetLen+2)
 		if q.wal != nil {
 			// Scratch for ExtractBatch's one-record-per-batch logging;
 			// only paid for when durability is on.
@@ -192,8 +191,15 @@ func (q *Queue[V]) expandTree(from int) bool {
 	return true
 }
 
-func (q *Queue[V]) getCtx() *opCtx[V]  { return q.ctxs.Get().(*opCtx[V]) }
-func (q *Queue[V]) putCtx(c *opCtx[V]) { c.clearHazards(); q.ctxs.Put(c) }
+func (q *Queue[V]) getCtx() *opCtx[V] {
+	c := q.ctxs.Get().(*opCtx[V])
+	if c.h != nil {
+		c.h.Unpark()
+	}
+	return c
+}
+
+func (q *Queue[V]) putCtx(c *opCtx[V]) { c.parkHazards(); q.ctxs.Put(c) }
 
 // Len returns a snapshot count of queued elements: the sum of node counts
 // plus unclaimed pool entries. It is exact when the queue is quiescent and

@@ -146,6 +146,22 @@ func (d *Domain) Put(h *Handle) {
 	h.r = nil
 }
 
+// Park marks the handle's record inactive between operations while the
+// handle keeps it, for owners that rest in a pool which may drop them
+// (pooled operation contexts). A dropped owner then leaves a record that
+// acquireRecord can hand to a new participant, retired objects included,
+// instead of an orphan whose retirements are never scanned. Clear the
+// hazard slots before parking.
+func (h *Handle) Park() { h.r.active.Store(false) }
+
+// Unpark resumes a parked handle's record, or acquires another if a new
+// participant adopted the parked one meanwhile.
+func (h *Handle) Unpark() {
+	if !h.r.active.CompareAndSwap(false, true) {
+		h.r = h.d.acquireRecord()
+	}
+}
+
 // Protect publishes p in hazard slot i and returns p. The caller must
 // re-validate its source pointer after Protect returns (the standard
 // hazard-pointer load protocol): publish, re-read the source, retry if it

@@ -124,6 +124,36 @@ func TestRecordReuse(t *testing.T) {
 	}
 }
 
+func TestParkedRecordIsAdopted(t *testing.T) {
+	// An owner dropped while parked must not strand its retirements: the
+	// next participant adopts the record, and its scan reclaims them.
+	d := NewDomain()
+	h := d.Get()
+	reclaimed := 0
+	for i := 0; i < scanThreshold-1; i++ {
+		h.Retire(&obj{v: i}, func(Ptr) { reclaimed++ })
+	}
+	h.Park()
+	h2 := d.Get()
+	if h2.r != h.r {
+		t.Fatal("a new participant did not adopt the parked record")
+	}
+	h2.Retire(&obj{}, func(Ptr) { reclaimed++ })
+	if reclaimed != scanThreshold {
+		t.Fatalf("reclaimed %d after the adopter's scan, want %d", reclaimed, scanThreshold)
+	}
+	// The parked owner resumes on a record of its own.
+	h.Unpark()
+	if h.r == h2.r || d.Records() != 2 {
+		t.Fatalf("unpark after adoption: shared record=%v, records=%d", h.r == h2.r, d.Records())
+	}
+	h.Park()
+	h.Unpark()
+	if d.Records() != 2 {
+		t.Fatalf("unpark of an unadopted record allocated: records=%d", d.Records())
+	}
+}
+
 func TestConcurrentProtectRetire(t *testing.T) {
 	d := NewDomain()
 	const goroutines = 8

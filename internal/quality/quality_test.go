@@ -138,6 +138,17 @@ func TestTreapModelEquivalence(t *testing.T) {
 	}
 }
 
+func treapDepth(tr *Treap) int {
+	var depth func(*treapNode) int
+	depth = func(nd *treapNode) int {
+		if nd == nil {
+			return 0
+		}
+		return 1 + max(depth(nd.left), depth(nd.right))
+	}
+	return depth(tr.root)
+}
+
 func TestTreapBalanced(t *testing.T) {
 	// Sequential inserts must not degenerate: depth should stay O(log n).
 	tr := NewTreap(3)
@@ -145,21 +156,24 @@ func TestTreapBalanced(t *testing.T) {
 	for i := 0; i < n; i++ {
 		tr.Insert(uint64(i))
 	}
-	depth := 0
-	var walk func(*treapNode, int)
-	walk = func(nd *treapNode, d int) {
-		if nd == nil {
-			return
-		}
-		if d > depth {
-			depth = d
-		}
-		walk(nd.left, d+1)
-		walk(nd.right, d+1)
-	}
-	walk(tr.root, 1)
-	if depth > 70 { // ~4.3x log2(1e5); randomized treaps stay near 1.39·log2
+	if depth := treapDepth(tr); depth > 70 { // ~4.3x log2(1e5); randomized treaps stay near 1.39·log2
 		t.Fatalf("treap depth %d for %d sequential inserts", depth, n)
+	}
+}
+
+func TestTreapBalancedOnSameSeedKeys(t *testing.T) {
+	// Callers draw keys from xrand.New(seed) and rank them in
+	// NewTreap(seed); the priorities must not follow the keys.
+	const n = 4096 // depth bound 4·log2(n) = 48
+	for seed := uint64(1); seed <= 3; seed++ {
+		keys := xrand.New(seed)
+		tr := NewTreap(seed)
+		for i := 0; i < n; i++ {
+			tr.Insert(keys.Uint64())
+		}
+		if depth := treapDepth(tr); depth > 48 {
+			t.Fatalf("seed %d: treap depth %d for %d keys, want <= 48", seed, depth, n)
+		}
 	}
 }
 

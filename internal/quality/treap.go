@@ -41,10 +41,16 @@ type Treap struct {
 	rng  xrand.Rand
 }
 
+// treapSalt separates the priority stream from the caller's own streams:
+// a caller that draws keys from xrand.New(seed) and ranks them in
+// NewTreap(seed) would otherwise hand every node a priority equal to its
+// key, and the treap would degenerate into a list.
+const treapSalt = 0x74726561705f7072
+
 // NewTreap returns an empty treap seeded deterministically.
 func NewTreap(seed uint64) *Treap {
 	t := &Treap{}
-	t.rng.Seed(seed)
+	t.rng.Seed(seed ^ treapSalt)
 	return t
 }
 

@@ -26,6 +26,8 @@ type connState struct {
 	keys   []uint64
 	frame  []byte
 	dst    []core.Element[[]byte]
+	ids    []uint32 // coalesced request ids
+	vals   [][]byte // coalesced payloads, cleared after each batch
 }
 
 // cloneValues detaches a request's payload views from the read buffer
@@ -65,13 +67,13 @@ func (s *Server) serveConn(conn net.Conn) {
 
 // writeLoop frames and writes responses in queue order, flushing whenever
 // the queue drains so a burst of pipelined responses costs one flush.
+// Each response is encoded straight into the writer's free space, so
+// Write copies nothing; one that does not fit lands in a fresh slice.
 func (c *connState) writeLoop(done chan struct{}) {
 	defer close(done)
 	bw := bufio.NewWriterSize(c.conn, 64<<10)
-	var buf []byte
 	for resp := range c.respCh {
-		buf = wire.AppendResponse(buf[:0], resp)
-		if _, err := bw.Write(buf); err != nil {
+		if _, err := bw.Write(wire.AppendResponse(bw.AvailableBuffer(), resp)); err != nil {
 			// The connection is gone; keep draining so the reader never
 			// blocks on a full queue.
 			for range c.respCh {
@@ -251,17 +253,15 @@ func (c *connState) coalesceInsert(t *tenant, req wire.Request) {
 	if f := c.free() - 1; f < budget {
 		budget = f
 	}
-	keys := c.keys[:0]
-	keys = append(keys, req.Key)
-	var vals [][]byte
+	keys := append(c.keys[:0], req.Key)
+	ids := append(c.ids[:0], req.ID)
+	vals := c.vals[:0]
 	anyVal := req.Payload != nil
 	if anyVal {
 		vals = append(vals, append([]byte{}, req.Payload...))
 	} else {
 		vals = append(vals, nil)
 	}
-	ids := make([]uint32, 1, 8)
-	ids[0] = req.ID
 	for len(keys) < budget {
 		next, ok := c.peekInsert(t.name)
 		if !ok {
@@ -274,11 +274,13 @@ func (c *connState) coalesceInsert(t *tenant, req wire.Request) {
 		}
 		ids = append(ids, next.ID)
 	}
+	batch := vals
 	if !anyVal {
-		vals = nil // key-only batch: zero values, key-only WAL record
+		batch = nil // key-only batch: zero values, key-only WAL record
 	}
-	t.q.InsertBatch(keys, vals)
-	c.keys = keys[:0]
+	t.q.InsertBatch(keys, batch)
+	clear(vals) // the queue holds the payloads now; the scratch must not pin them
+	c.keys, c.ids, c.vals = keys[:0], ids[:0], vals[:0]
 	s.batchSizes.Observe(c.id, uint64(len(keys)))
 	s.inserts.Add(uint64(len(keys)))
 	s.opsTotal.Add(uint64(len(ids)))

@@ -11,7 +11,7 @@ import (
 	"repro/internal/wire"
 )
 
-func startServer(t *testing.T, cfg Config) (*Server, string) {
+func startServer(t testing.TB, cfg Config) (*Server, string) {
 	t.Helper()
 	s, _, err := New(cfg)
 	if err != nil {
@@ -147,9 +147,12 @@ func TestServerCoalescing(t *testing.T) {
 // admission control refuses the overflow with a retry-after instead of
 // executing it. It drives serveConn over a synchronous net.Pipe — every
 // write blocks until the peer reads — so "the client stopped reading"
-// is exact, not a function of kernel socket buffer sizes: the writer
-// blocks on its first flush, the response queue fills, and every
-// further request must be refused until the client reads again.
+// is exact, not a function of kernel socket buffer sizes. The writer
+// absorbs responses into its 64 KiB buffer until a flush blocks, which
+// may happen at the first response or only once the buffer is full; the
+// burst is larger than both together, so the response queue fills and
+// requests are refused until the client reads again, however the two
+// goroutines are scheduled.
 func TestServerOverload(t *testing.T) {
 	cfg := baseConfig("alpha")
 	cfg.MaxInflight = 8
@@ -170,11 +173,12 @@ func TestServerOverload(t *testing.T) {
 		s.serveConn(srv)
 	}()
 
-	// Pipeline requests without reading: more than MaxInflight of them,
-	// as one write so the server's read buffer absorbs the burst whole.
-	// OpLen is used because it cannot coalesce — each request needs its
-	// own response slot.
-	const requests = 20
+	// Pipeline requests without reading: more than a full writer buffer
+	// of responses (each at least 18 bytes) plus MaxInflight. OpLen is
+	// used because it cannot coalesce — each request needs its own
+	// response slot. The server stops reading once its queue is full, so
+	// the burst is written from its own goroutine.
+	const requests = 4096
 	var buf []byte
 	for i := 0; i < requests; i++ {
 		buf, err = wire.AppendRequest(buf, wire.Request{Op: wire.OpLen, ID: uint32(i), Tenant: "alpha"})
@@ -182,9 +186,11 @@ func TestServerOverload(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := cli.Write(buf); err != nil {
-		t.Fatal(err)
-	}
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := cli.Write(buf)
+		wrote <- err
+	}()
 	// Wait until admission control has demonstrably refused at least one
 	// request — the stable state: writer blocked on the unread pipe,
 	// queue full, reader refusing.
@@ -220,6 +226,9 @@ func TestServerOverload(t *testing.T) {
 		default:
 			t.Fatalf("response %d: unexpected status %d", i, r.Status)
 		}
+	}
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
 	}
 	if oks == 0 || overloads == 0 {
 		t.Fatalf("want a mix of OK and Overloaded, got %d OK / %d overloaded", oks, overloads)

@@ -42,18 +42,31 @@ func TestSharedDomainAcrossQueues(t *testing.T) {
 }
 
 // TestSharedDomainModeMismatch pins the compatibility contract: a domain
-// built for list sets must refuse an array-set tenant.
+// built for one set mode must refuse a tenant of the other. Both modes
+// are set explicitly, so the mismatch is real whichever mode the
+// zmsq_arrayset build tag makes the default.
 func TestSharedDomainModeMismatch(t *testing.T) {
-	qcfg := core.DefaultConfig()
-	ad := core.NewAllocDomain[int](qcfg)
-	bad := qcfg
-	bad.SetMode = core.SetModeArray
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewWithDomain accepted a mode-mismatched domain")
-		}
-	}()
-	NewWithDomain[int](Config{Shards: 2, Queue: bad}, ad)
+	for _, m := range []struct {
+		name           string
+		domain, tenant core.SetMode
+	}{
+		{"list domain, array tenant", core.SetModeList, core.SetModeArray},
+		{"array domain, list tenant", core.SetModeArray, core.SetModeList},
+	} {
+		t.Run(m.name, func(t *testing.T) {
+			qcfg := core.DefaultConfig()
+			qcfg.SetMode = m.domain
+			ad := core.NewAllocDomain[int](qcfg)
+			bad := qcfg
+			bad.SetMode = m.tenant
+			defer func() {
+				if recover() == nil {
+					t.Fatal("NewWithDomain accepted a mode-mismatched domain")
+				}
+			}()
+			NewWithDomain[int](Config{Shards: 2, Queue: bad}, ad)
+		})
+	}
 }
 
 // TestDurableSharedDomainRoundTrip runs the full durable tenant cycle on

@@ -17,24 +17,37 @@ import (
 //
 // A background read loop routes responses to waiters by correlation id,
 // so a Client is safe for concurrent use and responses may be awaited in
-// any order.
+// any order. The read loop reads through a 64 KiB buffer, so a burst of
+// pipelined responses costs one read(2), not two per frame; and the
+// per-request handles are recycled (see Pending), so a steady stream of
+// key-only requests allocates nothing.
+//
+// Writers serialize on wmu, which is held across socket writes; the read
+// loop routes responses under mu, which never is. So a Flush blocked on
+// a full socket never stops the responses that would drain the server.
 type Client struct {
 	conn net.Conn
-	bw   *bufio.Writer
 
-	mu      sync.Mutex // guards bw, nextID, pending, err
-	nextID  uint32
-	pending map[uint32]chan Response
-	err     error // sticky: first read-loop or write failure
+	wmu    sync.Mutex // guards bw, buf, nextID
+	bw     *bufio.Writer
+	buf    []byte // AppendRequest scratch
+	nextID uint32
 
-	buf  []byte // AppendRequest scratch, guarded by mu
+	mu      sync.Mutex // guards pending, free, err
+	pending map[uint32]*Pending
+	free    []*Pending // handles returned by Wait, reused by Start
+	err     error      // sticky: first read-loop or write failure
+
 	done chan struct{}
 }
 
-// Pending is an in-flight request handle returned by Start.
+// Pending is an in-flight request handle returned by Start. Call Wait
+// exactly once and do not use the handle afterwards: a Wait that
+// receives its response hands the handle back to the Client, which
+// reuses it for a later Start.
 type Pending struct {
 	c  *Client
-	ch chan Response
+	ch chan Response // carries this request's one response
 	id uint32
 }
 
@@ -53,7 +66,7 @@ func NewClient(conn net.Conn) *Client {
 	c := &Client{
 		conn:    conn,
 		bw:      bufio.NewWriterSize(conn, 64<<10),
-		pending: make(map[uint32]chan Response),
+		pending: make(map[uint32]*Pending),
 		done:    make(chan struct{}),
 	}
 	go c.readLoop()
@@ -64,67 +77,81 @@ func NewClient(conn net.Conn) *Client {
 // a handle to await the response. The request's ID field is assigned by
 // the client; any value the caller set is overwritten.
 func (c *Client) Start(r Request) (*Pending, error) {
-	ch := make(chan Response, 1)
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.nextID++
+	r.ID = c.nextID
+	var err error
+	if c.buf, err = AppendRequest(c.buf[:0], r); err != nil {
+		return nil, err
+	}
+	// Register before writing: a full buffer flushes inside Write, and
+	// the response may then arrive before Write returns.
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
 		return nil, err
 	}
-	c.nextID++
-	r.ID = c.nextID
-	var err error
-	c.buf, err = AppendRequest(c.buf[:0], r)
-	if err != nil {
-		c.mu.Unlock()
-		return nil, err
+	var p *Pending
+	if n := len(c.free); n > 0 {
+		p, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		p = &Pending{c: c, ch: make(chan Response, 1)}
 	}
-	c.pending[r.ID] = ch
-	if _, werr := c.bw.Write(c.buf); werr != nil {
-		delete(c.pending, r.ID)
-		c.fail(werr)
-		c.mu.Unlock()
-		return nil, werr
-	}
-	id := r.ID
+	p.id = r.ID
+	c.pending[r.ID] = p
 	c.mu.Unlock()
-	return &Pending{c: c, ch: ch, id: id}, nil
+	if _, err := c.bw.Write(c.buf); err != nil {
+		return nil, c.fail(err)
+	}
+	return p, nil
 }
 
 // Flush pushes every Started request to the server.
 func (c *Client) Flush() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err != nil {
-		return c.err
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if err := c.fail(nil); err != nil {
+		return err
 	}
 	if err := c.bw.Flush(); err != nil {
-		c.fail(err)
-		return err
+		return c.fail(err)
 	}
 	return nil
 }
 
-// Wait blocks until the response arrives (or the connection dies).
+// Wait blocks until the response arrives (or the connection dies). It
+// may be called once per handle; on success the handle goes back to the
+// Client for reuse, so p must not be touched after Wait returns.
 func (p *Pending) Wait() (Response, error) {
 	select {
 	case r := <-p.ch:
+		p.release()
 		return r, nil
 	case <-p.c.done:
 		// Drain a response that raced with the shutdown.
 		select {
 		case r := <-p.ch:
+			p.release()
 			return r, nil
 		default:
 		}
-		p.c.mu.Lock()
-		err := p.c.err
-		p.c.mu.Unlock()
+		err := p.c.fail(nil)
 		if err == nil {
 			err = io.ErrClosedPipe
 		}
 		return Response{}, err
 	}
+}
+
+// release returns a handle whose response has been received to the free
+// list. The read loop removed it from pending before sending, so no
+// further response can reach it until Start hands it out again.
+func (p *Pending) release() {
+	p.c.mu.Lock()
+	p.c.free = append(p.c.free, p)
+	p.c.mu.Unlock()
 }
 
 // Do sends r and waits for its response: Start + Flush + Wait.
@@ -146,36 +173,36 @@ func (c *Client) Close() error {
 	return err
 }
 
-// fail records the first error and wakes every waiter. Caller holds mu.
-func (c *Client) fail(err error) {
+// fail records err unless an earlier error stuck, and returns the sticky
+// error; fail(nil) only reads it. Waiters wake when the read loop exits.
+func (c *Client) fail(err error) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.err == nil {
 		c.err = err
 	}
+	return c.err
 }
 
 func (c *Client) readLoop() {
 	defer close(c.done)
+	br := bufio.NewReaderSize(c.conn, 64<<10)
 	var scratch []byte
 	var keys []uint64
 	for {
-		payload, ns, err := ReadFrame(c.conn, scratch)
+		payload, ns, err := ReadFrame(br, scratch)
 		scratch = ns
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		if err != nil {
-			c.mu.Lock()
-			if err != io.EOF {
-				c.fail(err)
-			} else {
-				c.fail(io.ErrUnexpectedEOF)
-			}
-			c.mu.Unlock()
+			c.fail(err)
 			_ = c.conn.Close()
 			return
 		}
 		resp, err := ParseResponse(payload, keys[:0])
 		if err != nil {
-			c.mu.Lock()
 			c.fail(err)
-			c.mu.Unlock()
 			_ = c.conn.Close()
 			return
 		}
@@ -196,16 +223,14 @@ func (c *Client) readLoop() {
 			}
 		}
 		c.mu.Lock()
-		ch, ok := c.pending[resp.ID]
+		p, ok := c.pending[resp.ID]
 		delete(c.pending, resp.ID)
 		c.mu.Unlock()
 		if !ok {
-			c.mu.Lock()
 			c.fail(fmt.Errorf("%w: response for unknown request id %d", ErrProto, resp.ID))
-			c.mu.Unlock()
 			_ = c.conn.Close()
 			return
 		}
-		ch <- resp
+		p.ch <- resp
 	}
 }

@@ -559,15 +559,21 @@ func (d *Decoder) Next() ([]byte, error) {
 // io.EOF; streams cut mid-frame return a TornError; an implausible length
 // or CRC mismatch is a TornError too (a desynchronized stream cannot be
 // re-synchronized, so the caller must drop the connection either way).
+// The header is read into scratch too, so a call on a warm scratch
+// allocates nothing.
 func ReadFrame(r io.Reader, scratch []byte) (payload, newScratch []byte, err error) {
-	var head [HeaderSize]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
+	if cap(scratch) < HeaderSize {
+		scratch = make([]byte, 0, HeaderSize)
+	}
+	head := scratch[:HeaderSize]
+	if _, err := io.ReadFull(r, head); err != nil {
 		if err == io.EOF {
 			return nil, scratch, io.EOF
 		}
 		return nil, scratch, &TornError{Reason: "short header: " + err.Error(), Err: err}
 	}
-	length := binary.LittleEndian.Uint32(head[:])
+	length := binary.LittleEndian.Uint32(head)
+	crc := binary.LittleEndian.Uint32(head[4:])
 	if length < 1 || length > MaxPayload {
 		return nil, scratch, &TornError{Reason: fmt.Sprintf("implausible payload length %d", length)}
 	}
@@ -578,7 +584,7 @@ func ReadFrame(r io.Reader, scratch []byte) (payload, newScratch []byte, err err
 	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, scratch, &TornError{Reason: "short payload: " + err.Error(), Err: err}
 	}
-	if crc := crc32.Checksum(body, castagnoli); crc != binary.LittleEndian.Uint32(head[4:]) {
+	if crc32.Checksum(body, castagnoli) != crc {
 		return nil, scratch, &TornError{Reason: "crc mismatch"}
 	}
 	return body, scratch, nil
